@@ -309,8 +309,10 @@ func BenchmarkGroupEngineParallel(b *testing.B) {
 // BenchmarkSelectParallel measures the end-to-end public API under the
 // worker pool: a full GreedyMinVar uniqueness solve over the wide
 // workload, so the parallel per-term enumeration (state build,
-// singleton benefits, EV misses along the greedy picks) dominates and
-// the fan-out has real work to amortize the pool overhead against.
+// singleton benefits, the greedy's refresh of each clean's affected
+// objects, the final EV passes) dominates and the fan-out has real
+// work to amortize the pool overhead against. Its answers are pinned
+// by TestSelectParallelWorkloadPinned.
 // (Solving the narrow disjoint-4-window workload here instead makes
 // the per-term passes so cheap that pool overhead shows as a slowdown
 // — the 0.78x regression scripts/bench.sh now gates against.)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/model"
+	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/query"
 )
 
@@ -114,7 +115,6 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 		return nil, err
 	}
 	n := g.db.N()
-	version := make([]int, n)
 	singles, err := st.SingletonBenefitsCtx(ctx) // also serves the final check
 	if err != nil {
 		return nil, err
@@ -128,12 +128,35 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 	}
 	heap.Init(&q)
 
-	var T model.Set
+	T, gainSum, err := g.queueLoop(ctx, st, q, budget)
+	if err != nil {
+		return nil, err
+	}
+	// Final check against the best single object (by singleton benefit).
+	if o := bestUnchosen(g.db, singles, T, budget); o >= 0 && singles[o] > gainSum {
+		return model.NewSet(o), nil
+	}
+	return T, nil
+}
+
+// queueLoop runs the lazy greedy over the benefit queue: it pops the
+// best ratio, cleans it if affordable, and re-scores the uncleaned
+// objects the clean affected. The re-scores run on the parallel worker
+// pool (State.DeltasCtx) and are pushed in ascending object order, so
+// the queue — and the chosen set — is the same for every worker count.
+func (g *GreedyMinVarGroup) queueLoop(ctx context.Context, st *ev.State, q pq, budget float64) (model.Set, float64, error) {
+	rec := obs.FromContext(ctx)
+	defer rec.Span("select_loop")()
+	version := make([]int, g.db.N())
+	var (
+		T     model.Set
+		stale []int
+	)
 	remaining := budget
 	gainSum := 0.0
 	for q.Len() > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
+			return nil, 0, context.Cause(ctx)
 		}
 		top := heap.Pop(&q).(pqEntry)
 		o := top.obj
@@ -149,23 +172,28 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 		gainSum += gain
 		// Refresh the benefits of locally affected objects so the queue
 		// max stays exact (EV is submodular: stale entries underestimate).
+		stale = stale[:0]
 		for _, a := range st.Affected(o) {
-			if st.Cleaned(a) {
-				continue
+			if !st.Cleaned(a) {
+				stale = append(stale, a)
 			}
+		}
+		deltas, err := st.DeltasCtx(ctx, stale)
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, a := range stale {
 			version[a]++
-			b := -st.Delta(a)
+			b := -deltas[i]
 			if b < 0 {
 				b = 0
 			}
 			heap.Push(&q, pqEntry{ratio: ratio(b, g.db.Objects[a].Cost), benefit: b, obj: a, ver: version[a]})
 		}
+		rec.Add("greedy_refreshes", int64(len(stale)))
 	}
-	// Final check against the best single object (by singleton benefit).
-	if o := bestUnchosen(g.db, singles, T, budget); o >= 0 && singles[o] > gainSum {
-		return model.NewSet(o), nil
-	}
-	return T, nil
+	rec.Add("greedy_memo_hits", st.MemoHits())
+	return T, gainSum, nil
 }
 
 // GreedyEngine is the generic adaptive GreedyMinVar over any EV engine:

@@ -38,12 +38,19 @@ type GroupEngine struct {
 	varTerms [][]int // object id -> indices into terms
 	varPairs [][]int // object id -> indices into pairs
 
-	// Memoization for from-scratch EV calls: a term's contribution only
-	// depends on which of ITS OWN variables are cleaned, so it is cached
-	// by that local bitmask. Selectors that evaluate EV on many related
-	// subsets (Best, OPT, the adaptive greedy) hit these caches heavily.
+	// neighbors[o] lists, ascending, the objects other than o that share
+	// a term or an overlapping pair with o (State.Affected). Built on the
+	// first Affected call: engines that only answer EV never need it.
+	neighborsOnce sync.Once
+	neighbors     [][]int
+
+	// Memoization for from-scratch EV calls and State re-scores: a
+	// term's contribution only depends on which of ITS OWN variables are
+	// cleaned, so it is cached by that local bitmask. Selectors that
+	// evaluate EV on many related subsets (Best, OPT, the adaptive
+	// greedy) and the lazy greedy's refreshes hit these caches heavily.
 	// mu guards both caches: EV may be called from concurrent sweep
-	// points, and cache misses are computed on the parallel worker pool.
+	// points, and misses are computed on the parallel worker pool.
 	// Cached values are exact, so which goroutine fills an entry first
 	// never changes a result.
 	mu        sync.Mutex
@@ -70,6 +77,11 @@ type pairInfo struct {
 	onlyL  []int  // R_l \ shared
 	union  []int  // R_k ∪ R_l
 	sig    string // ordered sig(k)+sig(l) ("" = unshareable)
+	// slots[i] places union[i] in pairEV's evaluation buffer — term
+	// k's values, then term l's, then a sink slot — as its slot in
+	// term k's values (onlyL: term l's) and, for a shared variable,
+	// its slot in term l's values (else the sink).
+	slots [][2]int
 }
 
 // NewGroupEngine validates the model (independent, discrete) and indexes
@@ -144,30 +156,36 @@ func NewGroupEngine(db *model.DB, g *query.GroupSum) (*GroupEngine, error) {
 	return e, nil
 }
 
-// localMask packs which of vars are cleaned into a bitmask; ok is false
-// when the term is too wide to cache (> 64 variables).
-func localMask(vars []int, cleaned []bool) (uint64, bool) {
+// localMask packs which of vars are cleaned (cleaned[v], or v == extra)
+// into a bitmask; ok is false when the term is too wide to cache (> 64
+// variables).
+func localMask(vars []int, cleaned []bool, extra int) (uint64, bool) {
 	if len(vars) > 64 {
 		return 0, false
 	}
 	var m uint64
 	for i, v := range vars {
-		if cleaned[v] {
+		if isClean(cleaned, extra, v) {
 			m |= 1 << uint(i)
 		}
 	}
 	return m, true
 }
 
+// isClean reports whether object v counts as cleaned: it is in the
+// cleaned mask, or it is the one extra object a pure re-score adds to
+// the mask (-1 for none).
+func isClean(cleaned []bool, extra, v int) bool { return v == extra || cleaned[v] }
+
 func (e *GroupEngine) buildPair(k, l int) pairInfo {
-	inK := map[int]bool{}
-	for _, v := range e.terms[k].vars {
-		inK[v] = true
+	posK := map[int]int{}
+	for i, v := range e.terms[k].vars {
+		posK[v] = i
 	}
 	p := pairInfo{k: k, l: l}
 	inShared := map[int]bool{}
 	for _, v := range e.terms[l].vars {
-		if inK[v] {
+		if _, ok := posK[v]; ok {
 			p.shared = append(p.shared, v)
 			inShared[v] = true
 		}
@@ -189,6 +207,24 @@ func (e *GroupEngine) buildPair(k, l int) pairInfo {
 	sort.Ints(p.onlyK)
 	sort.Ints(p.onlyL)
 	sort.Ints(p.union)
+	nk := len(e.terms[k].vars)
+	sink := nk + len(e.terms[l].vars)
+	posL := map[int]int{}
+	for i, v := range e.terms[l].vars {
+		posL[v] = nk + i
+	}
+	for _, v := range p.union {
+		ik, inK := posK[v]
+		il, inL := posL[v]
+		switch {
+		case inK && inL:
+			p.slots = append(p.slots, [2]int{ik, il})
+		case inK:
+			p.slots = append(p.slots, [2]int{ik, sink})
+		default:
+			p.slots = append(p.slots, [2]int{il, sink})
+		}
+	}
 	// Ordered, not sorted: pairEV groups its products around the k-side
 	// term, so only a pair with the same (k,l) role assignment is
 	// guaranteed the same float64 (see the SharedEVCache contract).
@@ -202,121 +238,189 @@ func (e *GroupEngine) buildPair(k, l int) pairInfo {
 // windows are disjoint).
 func (e *GroupEngine) NumPairs() int { return len(e.pairs) }
 
-// evalTerm gathers the term's variable values from the scratch vector.
-func (e *GroupEngine) evalTerm(k int, x, buf []float64) float64 {
-	t := e.terms[k]
-	buf = buf[:0]
-	for _, v := range t.vars {
-		buf = append(buf, x[v])
-	}
-	return t.eval(buf)
-}
-
-// split partitions vars into (cleaned, uncleaned) under the mask.
-func split(vars []int, cleaned []bool) (in, out []int) {
-	for _, v := range vars {
-		if cleaned[v] {
-			in = append(in, v)
+// termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k, where T
+// is the cleaned mask plus the extra object (-1 for none), enumerating
+// with the provided distributions. Two odometers walk the cleaned
+// variables (outer) and the uncleaned ones (inner), each in declaration
+// order, writing values straight into the term's evaluation buffer.
+func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, extra int, sc *evScratch) float64 {
+	vars, eval := e.terms[k].vars, e.terms[k].eval
+	sink := len(vars)
+	vals := sc.buf(sink + 1)
+	outer, inner := &sc.od[0], &sc.od[1]
+	outer.reset(sink)
+	inner.reset(sink)
+	for i, v := range vars {
+		if isClean(cleaned, extra, v) {
+			outer.push(dists[v], i, sink)
 		} else {
-			out = append(out, v)
+			inner.push(dists[v], i, sink)
 		}
 	}
-	return in, out
-}
-
-// termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k given the
-// cleaned mask, enumerating with the provided distributions.
-func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, x, buf []float64) float64 {
-	a, b := split(e.terms[k].vars, cleaned)
+	g := vals[:sink]
 	var acc numeric.KahanAcc
-	enumerate(dists, a, x, func(pa float64) {
+	for ok := outer.start(vals); ok; ok = outer.next(vals) {
 		var m1, m2 numeric.KahanAcc
-		enumerate(dists, b, x, func(p float64) {
-			v := e.evalTerm(k, x, buf)
-			m1.Add(p * v)
-			m2.Add(p * v * v)
-		})
+		for in := inner.start(vals); in; in = inner.nextRow(vals) {
+			base, d1, d2 := inner.row()
+			for i, x1 := range d1.values {
+				vals[d1.pos] = x1
+				vals[d1.pos2] = x1
+				p1 := base * d1.probs[i]
+				for j, x := range d2.values {
+					vals[d2.pos] = x
+					vals[d2.pos2] = x
+					p := p1 * d2.probs[j]
+					v := eval(g)
+					m1.Add(p * v)
+					m2.Add(p * v * v)
+				}
+			}
+		}
 		mean := m1.Value()
 		variance := m2.Value() - mean*mean
 		if variance < 0 {
 			variance = 0
 		}
-		acc.Add(pa * variance)
-	})
+		acc.Add(outer.prob() * variance)
+	}
 	return acc.Value()
+}
+
+// termMean returns E[g_k] under dists.
+func (e *GroupEngine) termMean(dists []*dist.Discrete, k int, sc *evScratch) float64 {
+	vars, eval := e.terms[k].vars, e.terms[k].eval
+	sink := len(vars)
+	vals := sc.buf(sink + 1)
+	all := &sc.od[0]
+	all.reset(sink)
+	for i, v := range vars {
+		all.push(dists[v], i, sink)
+	}
+	return expect(all, vals, eval, vals[:sink])
+}
+
+// expect returns Σ p·g over the odometer's assignments — E[g] when its
+// digits are all of g's free variables — Kahan-summed in visit order.
+// g is the view of vals the term function reads.
+func expect(o *odometer, vals []float64, eval func([]float64) float64, g []float64) float64 {
+	var m numeric.KahanAcc
+	for ok := o.start(vals); ok; ok = o.nextRow(vals) {
+		base, d1, d2 := o.row()
+		for i, x1 := range d1.values {
+			vals[d1.pos] = x1
+			vals[d1.pos2] = x1
+			p1 := base * d1.probs[i]
+			for j, x := range d2.values {
+				vals[d2.pos] = x
+				vals[d2.pos2] = x
+				m.Add(p1 * d2.probs[j] * eval(g))
+			}
+		}
+	}
+	return m.Value()
 }
 
 // pairEV returns Σ_a Pr[a]·Cov[g_k, g_l | X_{union∩T} = a] for an
-// overlapping pair, exploiting that given the shared variables the two
-// terms are conditionally independent:
+// overlapping pair (T as in termEV), exploiting that given the shared
+// variables the two terms are conditionally independent:
 //
 //	E[g_k·g_l | a] = Σ_s Pr[s]·E[g_k | a,s]·E[g_l | a,s]
 //
-// where s ranges over the uncleaned shared variables.
-func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, x, buf []float64) float64 {
-	p := e.pairs[pi]
-	a, _ := split(p.union, cleaned)
-	_, sharedU := split(p.shared, cleaned)
-	_, bk := split(p.onlyK, cleaned)
-	_, bl := split(p.onlyL, cleaned)
+// where s ranges over the uncleaned shared variables. Four odometers —
+// cleaned, uncleaned shared, uncleaned k-only, uncleaned l-only — each
+// walk their variables in ascending object order.
+func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, extra int, sc *evScratch) float64 {
+	p := &e.pairs[pi]
+	nk, nl := len(e.terms[p.k].vars), len(e.terms[p.l].vars)
+	vals := sc.buf(nk + nl + 1)
+	a, s, bk, bl := &sc.od[0], &sc.od[1], &sc.od[2], &sc.od[3]
+	sink := nk + nl
+	a.reset(sink)
+	s.reset(sink)
+	bk.reset(sink)
+	bl.reset(sink)
+	for i, v := range p.union {
+		pos, pos2 := p.slots[i][0], p.slots[i][1]
+		switch {
+		case isClean(cleaned, extra, v):
+			a.push(dists[v], pos, pos2)
+		case pos2 != sink: // shared
+			s.push(dists[v], pos, pos2)
+		case pos < nk: // k only
+			bk.push(dists[v], pos, pos2)
+		default: // l only
+			bl.push(dists[v], pos, pos2)
+		}
+	}
+	gk, gl := vals[:nk], vals[nk:nk+nl]
+	evalK, evalL := e.terms[p.k].eval, e.terms[p.l].eval
 	var acc numeric.KahanAcc
-	enumerate(dists, a, x, func(pa float64) {
+	for ok := a.start(vals); ok; ok = a.next(vals) {
 		var ekl, ek, el numeric.KahanAcc
-		enumerate(dists, sharedU, x, func(ps float64) {
-			var mk, ml numeric.KahanAcc
-			enumerate(dists, bk, x, func(pb float64) {
-				mk.Add(pb * e.evalTerm(p.k, x, buf))
-			})
-			enumerate(dists, bl, x, func(pb float64) {
-				ml.Add(pb * e.evalTerm(p.l, x, buf))
-			})
-			vk, vl := mk.Value(), ml.Value()
+		for oks := s.start(vals); oks; oks = s.next(vals) {
+			ps := s.prob()
+			vk, vl := expect(bk, vals, evalK, gk), expect(bl, vals, evalL, gl)
 			ekl.Add(ps * vk * vl)
 			ek.Add(ps * vk)
 			el.Add(ps * vl)
-		})
+		}
 		cov := ekl.Value() - ek.Value()*el.Value()
-		acc.Add(pa * cov)
-	})
+		acc.Add(a.prob() * cov)
+	}
 	return acc.Value()
 }
 
-// evScratch is the per-worker workspace of the parallel enumeration
-// paths: an assignment vector, a support-index vector, the term
-// evaluation buffer, and the per-object moment workspace of the
+// evScratch is the per-worker workspace of the enumeration paths: the
+// odometers and the evaluation buffer they write into, the re-score
+// rows of State, and the per-object moment workspace of the
 // singleton-benefit pass. Work items fully overwrite the slots they
 // read, so reusing a workspace across items never changes a result.
 type evScratch struct {
-	x   []float64
-	idx []int
-	buf []float64
-	// Flattened singleton-benefit workspace, indexed by object id:
-	// conditional first/second moment rows (grown to the object's
-	// support size on first use) and one Kahan accumulator per object.
-	// These replace per-term map[int] allocations whose lookups sat in
-	// the innermost per-state loop.
+	od      [4]odometer
+	vals    []float64
+	termNew []float64
+	pairNew []float64
+	// Flattened singleton-benefit workspace, indexed by object id and
+	// allocated on first use: conditional first/second moment rows
+	// (grown to the object's support size) and one Kahan accumulator
+	// per object.
+	n      int
 	m1, m2 [][]float64
 	acc    []numeric.KahanAcc
 }
 
-func newEvScratch(n int) *evScratch {
-	return &evScratch{
-		x:   make([]float64, n),
-		idx: make([]int, n),
-		buf: make([]float64, 0, 32),
-		m1:  make([][]float64, n),
-		m2:  make([][]float64, n),
-		acc: make([]numeric.KahanAcc, n),
+func newEvScratch(n int) *evScratch { return &evScratch{n: n} }
+
+// buf returns the evaluation buffer grown to size.
+func (sc *evScratch) buf(size int) []float64 {
+	sc.vals = growFloats(sc.vals, size)
+	return sc.vals
+}
+
+// objectRows returns the singleton pass's object-indexed workspace.
+func (sc *evScratch) objectRows() (m1, m2 [][]float64, acc []numeric.KahanAcc) {
+	if sc.acc == nil {
+		sc.m1 = make([][]float64, sc.n)
+		sc.m2 = make([][]float64, sc.n)
+		sc.acc = make([]numeric.KahanAcc, sc.n)
 	}
+	return sc.m1, sc.m2, sc.acc
+}
+
+// growFloats returns s resized to n, reallocating only when too small.
+// Contents are stale until overwritten.
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // momentRow returns row v of m grown to size. Contents are stale until
 // overwritten — every caller zeroes or assigns before reading.
 func momentRow(m [][]float64, v, size int) []float64 {
-	if cap(m[v]) < size {
-		m[v] = make([]float64, size)
-	}
-	m[v] = m[v][:size]
+	m[v] = growFloats(m[v], size)
 	return m[v]
 }
 
@@ -356,40 +460,122 @@ type evMiss struct {
 	cacheable bool
 }
 
-// termValues returns every term's contribution for the cleaned mask,
+// The engine memoizes two families of contributions alike: term
+// variances and overlapping-pair covariances. A contribution depends
+// only on which of its own variables are cleaned, so it is cached by
+// that local mask — over the term's variables in declaration order, or
+// the pair's union ascending. The helpers below select a family.
+const (
+	ofTerms = false
+	ofPairs = true
+)
+
+func (e *GroupEngine) familySize(pair bool) int {
+	if pair {
+		return len(e.pairs)
+	}
+	return len(e.terms)
+}
+
+func (e *GroupEngine) familyCache(pair bool) []map[uint64]float64 {
+	if pair {
+		return e.pairCache
+	}
+	return e.termCache
+}
+
+// maskOf is contribution i's cache key under the cleaned mask plus
+// extra; ok is false when it is too wide to cache.
+func (e *GroupEngine) maskOf(pair bool, i int, cleaned []bool, extra int) (uint64, bool) {
+	if pair {
+		return localMask(e.pairs[i].union, cleaned, extra)
+	}
+	return localMask(e.terms[i].vars, cleaned, extra)
+}
+
+func (e *GroupEngine) sigOf(pair bool, i int) string {
+	if pair {
+		return e.pairs[i].sig
+	}
+	return e.terms[i].sig
+}
+
+// contrib enumerates contribution i: termEV or pairEV.
+func (e *GroupEngine) contrib(pair bool, dists []*dist.Discrete, i int, cleaned []bool, extra int, sc *evScratch) float64 {
+	if pair {
+		return e.pairEV(dists, i, cleaned, extra, sc)
+	}
+	return e.termEV(dists, i, cleaned, extra, sc)
+}
+
+// put stores v under (i, mask); the caller holds e.mu.
+func put(cache []map[uint64]float64, i int, mask uint64, v float64) {
+	if cache[i] == nil {
+		cache[i] = make(map[uint64]float64)
+	}
+	cache[i][mask] = v
+}
+
+// memo is contrib with the engine's dists through the cache: a hit
+// returns the stored value, a miss computes and stores it. Every stored
+// value is the output of this same enumeration, so a hit is exact. Safe
+// for concurrent use.
+func (e *GroupEngine) memo(pair bool, i int, cleaned []bool, extra int, sc *evScratch) (v float64, hit bool) {
+	cache := e.familyCache(pair)
+	mask, ok := e.maskOf(pair, i, cleaned, extra)
+	if ok {
+		e.mu.Lock()
+		v, hit = cache[i][mask]
+		e.mu.Unlock()
+		if hit {
+			return v, true
+		}
+	}
+	v = e.contrib(pair, e.dists, i, cleaned, extra, sc)
+	if ok {
+		e.mu.Lock()
+		put(cache, i, mask, v)
+		e.mu.Unlock()
+	}
+	return v, false
+}
+
+// values returns every contribution of one family for the cleaned mask,
 // serving hits from the cache and computing misses on the worker pool.
-func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64, error) {
-	vals := make([]float64, len(e.terms))
+func (e *GroupEngine) values(ctx context.Context, cleaned []bool, pair bool) ([]float64, error) {
+	n, cache := e.familySize(pair), e.familyCache(pair)
+	vals := make([]float64, n)
 	var misses []evMiss
 	e.mu.Lock()
-	for k := range e.terms {
-		mask, ok := localMask(e.terms[k].vars, cleaned)
+	for i := 0; i < n; i++ {
+		mask, ok := e.maskOf(pair, i, cleaned, -1)
 		if ok {
-			if v, hit := e.termCache[k][mask]; hit {
-				vals[k] = v
+			if v, hit := cache[i][mask]; hit {
+				vals[i] = v
 				continue
 			}
-			misses = append(misses, evMiss{i: k, mask: mask, cacheable: true})
+			misses = append(misses, evMiss{i: i, mask: mask, cacheable: true})
 			continue
 		}
-		misses = append(misses, evMiss{i: k})
+		misses = append(misses, evMiss{i: i})
 	}
 	e.mu.Unlock()
 	// Write-only trace ticks: the recorder never feeds back into the
 	// computation, so recorded and unrecorded runs are bit-identical.
-	if rec := obs.FromContext(ctx); rec != nil {
-		rec.Add("ev_cache_hits", int64(len(e.terms)-len(misses)))
+	// Pairs tick only when the query has any.
+	if rec := obs.FromContext(ctx); rec != nil && (!pair || n > 0) {
+		rec.Add("ev_cache_hits", int64(n-len(misses)))
 		rec.Add("ev_cache_misses", int64(len(misses)))
 	}
 	if len(misses) == 0 {
 		return vals, nil
 	}
 	// Second tier: values another engine over the same database already
-	// enumerated for a signature-identical term.
+	// enumerated for a signature-identical term or pair.
 	compute := misses
+	sig := func(i int) string { return e.sigOf(pair, i) }
 	if e.shared != nil {
-		sig := func(i int) string { return e.terms[i].sig }
-		compute = e.shared.splitShared(e.shared.terms, misses, vals, sig)
+		compute = e.shared.splitShared(e.shared.table(pair), misses, vals, sig)
 		if rec := obs.FromContext(ctx); rec != nil {
 			rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
 			rec.Add("ev_shared_misses", int64(len(compute)))
@@ -397,10 +583,9 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 	}
 	if len(compute) > 0 {
 		pool := newScratchPool(e.db.N())
-		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
-			sc := pool.get(worker)
-			m := compute[i]
-			vals[m.i] = e.termEV(e.dists, m.i, cleaned, sc.x, sc.buf)
+		if err := parallel.For(ctx, len(compute), func(worker, j int) error {
+			m := compute[j]
+			vals[m.i] = e.contrib(pair, e.dists, m.i, cleaned, -1, pool.get(worker))
 			return nil
 		}); err != nil {
 			return nil, err
@@ -408,79 +593,13 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 	}
 	e.mu.Lock()
 	for _, m := range misses {
-		if !m.cacheable {
-			continue
+		if m.cacheable {
+			put(cache, m.i, m.mask, vals[m.i])
 		}
-		if e.termCache[m.i] == nil {
-			e.termCache[m.i] = make(map[uint64]float64)
-		}
-		e.termCache[m.i][m.mask] = vals[m.i]
 	}
 	e.mu.Unlock()
 	if e.shared != nil && len(compute) > 0 {
-		e.shared.publish(e.shared.terms, compute, vals, func(i int) string { return e.terms[i].sig })
-	}
-	return vals, nil
-}
-
-// pairValues is termValues for the overlapping-pair covariances.
-func (e *GroupEngine) pairValues(ctx context.Context, cleaned []bool) ([]float64, error) {
-	vals := make([]float64, len(e.pairs))
-	var misses []evMiss
-	e.mu.Lock()
-	for pi := range e.pairs {
-		mask, ok := localMask(e.pairs[pi].union, cleaned)
-		if ok {
-			if v, hit := e.pairCache[pi][mask]; hit {
-				vals[pi] = v
-				continue
-			}
-			misses = append(misses, evMiss{i: pi, mask: mask, cacheable: true})
-			continue
-		}
-		misses = append(misses, evMiss{i: pi})
-	}
-	e.mu.Unlock()
-	if rec := obs.FromContext(ctx); rec != nil && len(e.pairs) > 0 {
-		rec.Add("ev_cache_hits", int64(len(e.pairs)-len(misses)))
-		rec.Add("ev_cache_misses", int64(len(misses)))
-	}
-	if len(misses) == 0 {
-		return vals, nil
-	}
-	compute := misses
-	if e.shared != nil {
-		sig := func(i int) string { return e.pairs[i].sig }
-		compute = e.shared.splitShared(e.shared.pairs, misses, vals, sig)
-		if rec := obs.FromContext(ctx); rec != nil {
-			rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
-			rec.Add("ev_shared_misses", int64(len(compute)))
-		}
-	}
-	if len(compute) > 0 {
-		pool := newScratchPool(e.db.N())
-		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
-			sc := pool.get(worker)
-			m := compute[i]
-			vals[m.i] = e.pairEV(e.dists, m.i, cleaned, sc.x, sc.buf)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	for _, m := range misses {
-		if !m.cacheable {
-			continue
-		}
-		if e.pairCache[m.i] == nil {
-			e.pairCache[m.i] = make(map[uint64]float64)
-		}
-		e.pairCache[m.i][m.mask] = vals[m.i]
-	}
-	e.mu.Unlock()
-	if e.shared != nil && len(compute) > 0 {
-		e.shared.publish(e.shared.pairs, compute, vals, func(i int) string { return e.pairs[i].sig })
+		e.shared.publish(e.shared.table(pair), compute, vals, sig)
 	}
 	return vals, nil
 }
@@ -509,11 +628,11 @@ func (e *GroupEngine) EVCtx(ctx context.Context, T model.Set) (float64, error) {
 	for _, i := range T {
 		cleaned[i] = true
 	}
-	termVals, err := e.termValues(ctx, cleaned)
+	termVals, err := e.values(ctx, cleaned, ofTerms)
 	if err != nil {
 		return 0, err
 	}
-	pairVals, err := e.pairValues(ctx, cleaned)
+	pairVals, err := e.values(ctx, cleaned, ofPairs)
 	if err != nil {
 		return 0, err
 	}
@@ -547,21 +666,16 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 			ds[i] = dist.PointMass(values[i])
 		}
 	}
-	x := make([]float64, e.db.N())
-	buf := make([]float64, 0, 32)
+	sc := newEvScratch(e.db.N())
 	noClean := make([]bool, e.db.N())
 	var mAcc, vAcc numeric.KahanAcc
 	mAcc.Add(e.g.Const)
 	for k := range e.terms {
-		var m1 numeric.KahanAcc
-		enumerate(ds, e.terms[k].vars, x, func(p float64) {
-			m1.Add(p * e.evalTerm(k, x, buf))
-		})
-		mAcc.Add(m1.Value())
-		vAcc.Add(e.termEV(ds, k, noClean, x, buf))
+		mAcc.Add(e.termMean(ds, k, sc))
+		vAcc.Add(e.termEV(ds, k, noClean, -1, sc))
 	}
 	for pi := range e.pairs {
-		vAcc.Add(2 * e.pairEV(ds, pi, noClean, x, buf))
+		vAcc.Add(2 * e.pairEV(ds, pi, noClean, -1, sc))
 	}
 	variance = vAcc.Value()
 	if variance < 0 {
@@ -573,15 +687,19 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 // State tracks EV(T) incrementally while a greedy algorithm grows T.
 // Cleaning an object only dirties the terms and pairs that reference it,
 // so deltas cost work proportional to the object's local claim structure
-// rather than the whole query.
+// rather than the whole query. Re-scores go through the engine's
+// per-(term, local mask) cache, so a term whose variables did not change
+// since its last re-score is a lookup, and Clean(o) reuses what the last
+// Delta(o) computed. A State is not safe for concurrent use; DeltasCtx
+// is its parallel entry point.
 type State struct {
-	e       *GroupEngine
-	cleaned []bool
-	termEV  []float64
-	pairEV  []float64
-	total   float64
-	x       []float64
-	buf     []float64
+	e        *GroupEngine
+	cleaned  []bool
+	termEV   []float64
+	pairEV   []float64
+	total    float64
+	pool     *scratchPool
+	memoHits int64
 }
 
 // NewState returns the incremental state at T = ∅.
@@ -602,20 +720,16 @@ func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
 	s := &State{
 		e:       e,
 		cleaned: make([]bool, e.db.N()),
-		x:       make([]float64, e.db.N()),
-		buf:     make([]float64, 0, 32),
+		pool:    newScratchPool(e.db.N()),
 	}
-	pool := newScratchPool(e.db.N())
 	termEV, err := parallel.Map(ctx, len(e.terms), func(worker, k int) (float64, error) {
-		sc := pool.get(worker)
-		return e.termEV(e.dists, k, s.cleaned, sc.x, sc.buf), nil
+		return e.termEV(e.dists, k, s.cleaned, -1, s.pool.get(worker)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	pairEV, err := parallel.Map(ctx, len(e.pairs), func(worker, pi int) (float64, error) {
-		sc := pool.get(worker)
-		return e.pairEV(e.dists, pi, s.cleaned, sc.x, sc.buf), nil
+		return e.pairEV(e.dists, pi, s.cleaned, -1, s.pool.get(worker)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -643,14 +757,40 @@ func (s *State) EV() float64 {
 // Cleaned reports whether object o is already in T.
 func (s *State) Cleaned(o int) bool { return s.cleaned[o] }
 
+// MemoHits returns how many term and pair values the State's re-scores
+// (Delta, DeltasCtx, Clean) have served from the engine's cache.
+func (s *State) MemoHits() int64 { return s.memoHits }
+
 // Delta returns EV(T ∪ {o}) − EV(T) without committing (≤ 0 by
 // Lemma 3.4). Cleaning an already-cleaned object has delta 0.
 func (s *State) Delta(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	delta, _, _ := s.recompute(o)
+	delta, hits := s.rescore(s.pool.get(0), o)
+	s.memoHits += int64(hits)
 	return delta
+}
+
+// DeltasCtx returns Delta(o) for every o in objs, re-scoring them on the
+// parallel worker pool. Each re-score reads the state without changing
+// it, and the results come back in objs order, so they are bit-identical
+// to sequential Delta calls for every worker count.
+func (s *State) DeltasCtx(ctx context.Context, objs []int) ([]float64, error) {
+	deltas := make([]float64, len(objs))
+	hits := make([]int, len(objs))
+	if err := parallel.For(ctx, len(objs), func(worker, i int) error {
+		if o := objs[i]; !s.cleaned[o] {
+			deltas[i], hits[i] = s.rescore(s.pool.get(worker), o)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, h := range hits {
+		s.memoHits += int64(h)
+	}
+	return deltas, nil
 }
 
 // Clean commits object o into T and returns the achieved delta.
@@ -658,55 +798,47 @@ func (s *State) Clean(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	delta, termNew, pairNew := s.recompute(o)
+	sc := s.pool.get(0)
+	delta, hits := s.rescore(sc, o)
+	s.memoHits += int64(hits)
 	s.cleaned[o] = true
-	for k, v := range termNew {
-		s.termEV[k] = v
+	for i, k := range s.e.varTerms[o] {
+		s.termEV[k] = sc.termNew[i]
 	}
-	for pi, v := range pairNew {
-		s.pairEV[pi] = v
+	for i, pi := range s.e.varPairs[o] {
+		s.pairEV[pi] = sc.pairNew[i]
 	}
 	s.total += delta
 	return delta
 }
 
-// recompute evaluates the dirty terms/pairs with o tentatively cleaned.
-func (s *State) recompute(o int) (delta float64, termNew map[int]float64, pairNew map[int]float64) {
-	s.cleaned[o] = true
-	termNew = make(map[int]float64, len(s.e.varTerms[o]))
-	pairNew = make(map[int]float64, len(s.e.varPairs[o]))
+// rescore evaluates o's terms and pairs with o added to the cleaned set,
+// leaving the new values in sc.termNew/sc.pairNew (in varTerms[o] and
+// varPairs[o] order), and returns the objective delta and the number of
+// values served from the cache. It only reads the state.
+func (s *State) rescore(sc *evScratch, o int) (delta float64, hits int) {
+	e := s.e
+	ts, ps := e.varTerms[o], e.varPairs[o]
+	sc.termNew = growFloats(sc.termNew, len(ts))
+	sc.pairNew = growFloats(sc.pairNew, len(ps))
 	var acc numeric.KahanAcc
-	for _, k := range s.e.varTerms[o] {
-		nv := s.e.termEV(s.e.dists, k, s.cleaned, s.x, s.buf)
-		termNew[k] = nv
+	for i, k := range ts {
+		nv, hit := e.memo(ofTerms, k, s.cleaned, o, sc)
+		if hit {
+			hits++
+		}
+		sc.termNew[i] = nv
 		acc.Add(nv - s.termEV[k])
 	}
-	for _, pi := range s.e.varPairs[o] {
-		nv := s.e.pairEV(s.e.dists, pi, s.cleaned, s.x, s.buf)
-		pairNew[pi] = nv
+	for i, pi := range ps {
+		nv, hit := e.memo(ofPairs, pi, s.cleaned, o, sc)
+		if hit {
+			hits++
+		}
+		sc.pairNew[i] = nv
 		acc.Add(2 * (nv - s.pairEV[pi]))
 	}
-	s.cleaned[o] = false
-	return acc.Value(), termNew, pairNew
-}
-
-// enumerateIdx is enumerate plus support-index tracking: idx[v] holds the
-// current support position of each enumerated var when visit runs.
-func enumerateIdx(dists []*dist.Discrete, vars []int, x []float64, idx []int, visit func(p float64)) {
-	var rec func(i int, p float64)
-	rec = func(i int, p float64) {
-		if i == len(vars) {
-			visit(p)
-			return
-		}
-		d := dists[vars[i]]
-		for j, v := range d.Values {
-			x[vars[i]] = v
-			idx[vars[i]] = j
-			rec(i+1, p*d.Probs[j])
-		}
-	}
-	rec(0, 1)
+	return acc.Value(), hits
 }
 
 // SingletonBenefits returns, for every object o, the benefit
@@ -731,39 +863,50 @@ type termContrib struct {
 }
 
 // SingletonBenefitsCtx is SingletonBenefits with the per-term passes
-// fanned out over the parallel worker pool and cooperative
-// cancellation between work items. Contributions are reduced in term
-// order (and within a term in declaration order), exactly as the
-// sequential loop accumulates them, so the result is bit-identical
-// for every worker count.
+// and the per-object pair re-scores fanned out over the parallel worker
+// pool and cooperative cancellation between work items. Contributions
+// are reduced in term order (and within a term in declaration order),
+// then pair by pair in varPairs order, exactly as the sequential loop
+// accumulates them, so the result is bit-identical for every worker
+// count.
 func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 	defer obs.FromContext(ctx).Span("singleton_benefits")()
 	e := s.e
 	n := e.db.N()
 	benefits := make([]float64, n)
-	pool := newScratchPool(n)
 	// Term contributions, one pass per term.
 	contribs, err := parallel.Map(ctx, len(e.terms), func(worker, k int) (termContrib, error) {
-		a, b := split(e.terms[k].vars, s.cleaned)
+		vars, eval := e.terms[k].vars, e.terms[k].eval
+		sc := s.pool.get(worker)
+		sink := len(vars)
+		vals := sc.buf(sink + 1)
+		outer, inner := &sc.od[0], &sc.od[1]
+		outer.reset(sink)
+		inner.reset(sink)
+		var b []int // uncleaned vars, in declaration order = inner digit order
+		for i, v := range vars {
+			if s.cleaned[v] {
+				outer.push(e.dists[v], i, sink)
+			} else {
+				inner.push(e.dists[v], i, sink)
+				b = append(b, v)
+			}
+		}
 		if len(b) == 0 {
 			return termContrib{}, nil // fully cleaned term: no one can improve it
 		}
-		sc := pool.get(worker)
 		// evAfter[v] accumulates Σ_a p_a Σ_val p_val·Var[g | a, X_v=val].
 		// The accumulators and moment rows live flat on the worker
-		// scratch, indexed by object id: the loops below run in the
-		// same order with the same fp operands as the map-keyed
-		// original, they just skip the hashing.
-		evAfter := sc.acc
+		// scratch, indexed by object id.
+		m1, m2, evAfter := sc.objectRows()
 		for _, v := range b {
 			evAfter[v] = numeric.KahanAcc{}
-		}
-		m1, m2 := sc.m1, sc.m2
-		for _, v := range b {
 			momentRow(m1, v, e.dists[v].Size())
 			momentRow(m2, v, e.dists[v].Size())
 		}
-		enumerate(e.dists, a, sc.x, func(pa float64) {
+		g := vals[:sink]
+		for ok := outer.start(vals); ok; ok = outer.next(vals) {
+			pa := outer.prob()
 			for _, v := range b {
 				r1, r2 := m1[v], m2[v]
 				for j := range r1 {
@@ -771,14 +914,30 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 					r2[j] = 0
 				}
 			}
-			enumerateIdx(e.dists, b, sc.x, sc.idx, func(pb float64) {
-				g := e.evalTerm(k, sc.x, sc.buf)
-				for _, v := range b {
-					j := sc.idx[v]
-					m1[v][j] += pb * g
-					m2[v][j] += pb * g * g
+			// The sweep keeps the row digits' j current, so every
+			// variable's support index is read off its digit (b[i] is
+			// digit i; padding digits follow b).
+			for in := inner.start(vals); in; in = inner.nextRow(vals) {
+				base, d1, d2 := inner.row()
+				for i1, x1 := range d1.values {
+					d1.j = i1
+					vals[d1.pos] = x1
+					vals[d1.pos2] = x1
+					p1 := base * d1.probs[i1]
+					for i2, x := range d2.values {
+						d2.j = i2
+						vals[d2.pos] = x
+						vals[d2.pos2] = x
+						pb := p1 * d2.probs[i2]
+						gv := eval(g)
+						for i, v := range b {
+							j := inner.digits[i].j
+							m1[v][j] += pb * gv
+							m2[v][j] += pb * gv * gv
+						}
+					}
 				}
-			})
+			}
 			for _, v := range b {
 				d := e.dists[v]
 				r1, r2 := m1[v], m2[v]
@@ -794,7 +953,7 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 					evAfter[v].Add(pa * pv * variance)
 				}
 			}
-		})
+		}
 		deltas := make([]float64, len(b))
 		for j, v := range b {
 			deltas[j] = s.termEV[k] - evAfter[v].Value()
@@ -809,26 +968,35 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 			benefits[v] += c.deltas[j]
 		}
 	}
-	// Pair contributions: recompute per object, but only objects in
-	// pairs. This pass flips s.cleaned in place, so it stays sequential
-	// (pair structure is sparse; the term passes above dominate).
+	// Pair contributions: each uncleaned object in some pair re-scores
+	// its pairs with itself added to the mask (the values Delta would
+	// compute, so they also fill the engine's cache).
 	if len(e.pairs) > 0 {
-		seen := map[int]bool{}
+		var objs []int
+		seen := make([]bool, n)
 		for _, p := range e.pairs {
 			for _, v := range p.union {
-				if seen[v] || s.cleaned[v] {
-					continue
+				if !seen[v] && !s.cleaned[v] {
+					seen[v] = true
+					objs = append(objs, v)
 				}
-				if err := ctx.Err(); err != nil {
-					return nil, context.Cause(ctx)
-				}
-				seen[v] = true
-				s.cleaned[v] = true
-				for _, pi := range e.varPairs[v] {
-					nv := e.pairEV(e.dists, pi, s.cleaned, s.x, s.buf)
-					benefits[v] += 2 * (s.pairEV[pi] - nv)
-				}
-				s.cleaned[v] = false
+			}
+		}
+		rows, err := parallel.Map(ctx, len(objs), func(worker, i int) ([]float64, error) {
+			v := objs[i]
+			sc := s.pool.get(worker)
+			row := make([]float64, len(e.varPairs[v]))
+			for j, pi := range e.varPairs[v] {
+				row[j], _ = e.memo(ofPairs, pi, s.cleaned, v, sc)
+			}
+			return row, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range objs {
+			for j, pi := range e.varPairs[v] {
+				benefits[v] += 2 * (s.pairEV[pi] - rows[i][j])
 			}
 		}
 	}
@@ -840,26 +1008,42 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 	return benefits, nil
 }
 
-// Affected returns the object IDs (other than o itself) whose Delta may
-// change when o is cleaned: every object sharing a term or an overlapping
-// pair with o. Lazy-greedy selectors use it to invalidate cached benefits.
+// Affected returns the object IDs (other than o itself), ascending, whose
+// Delta may change when o is cleaned: every object sharing a term or an
+// overlapping pair with o. Lazy-greedy selectors use it to invalidate
+// cached benefits. The slice is the engine's own; callers must not
+// modify it.
 func (s *State) Affected(o int) []int {
-	seen := map[int]struct{}{}
-	for _, k := range s.e.varTerms[o] {
-		for _, v := range s.e.terms[k].vars {
-			seen[v] = struct{}{}
+	s.e.neighborsOnce.Do(s.e.buildNeighbors)
+	return s.e.neighbors[o]
+}
+
+// buildNeighbors fills e.neighbors (see Affected).
+func (e *GroupEngine) buildNeighbors() {
+	n := e.db.N()
+	e.neighbors = make([][]int, n)
+	stamp := make([]int, n)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	for o := 0; o < n; o++ {
+		stamp[o] = o // o is never its own neighbour
+		var out []int
+		add := func(vs []int) {
+			for _, v := range vs {
+				if stamp[v] != o {
+					stamp[v] = o
+					out = append(out, v)
+				}
+			}
 		}
-	}
-	for _, pi := range s.e.varPairs[o] {
-		for _, v := range s.e.pairs[pi].union {
-			seen[v] = struct{}{}
+		for _, k := range e.varTerms[o] {
+			add(e.terms[k].vars)
 		}
+		for _, pi := range e.varPairs[o] {
+			add(e.pairs[pi].union)
+		}
+		sort.Ints(out)
+		e.neighbors[o] = out
 	}
-	delete(seen, o)
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

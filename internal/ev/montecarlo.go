@@ -131,17 +131,17 @@ func (m *ShardedMonteCarlo) EVCtx(ctx context.Context, T model.Set) (float64, er
 	streams := parallel.Streams(rng.New(m.seed), m.outer)
 	pool := newScratchPool(n)
 	vars, err := parallel.Map(ctx, m.outer, func(worker, o int) (float64, error) {
-		sc := pool.get(worker)
+		x := pool.get(worker).buf(n) // every slot is drawn before Eval reads it
 		r := streams[o]
 		for _, i := range T {
-			sc.x[i] = m.dists[i].Sample(r)
+			x[i] = m.dists[i].Sample(r)
 		}
 		var innerAcc numeric.Welford
 		for in := 0; in < m.inner; in++ {
 			for _, i := range rest {
-				sc.x[i] = m.dists[i].Sample(r)
+				x[i] = m.dists[i].Sample(r)
 			}
-			innerAcc.Add(m.f.Eval(sc.x))
+			innerAcc.Add(m.f.Eval(x))
 		}
 		return innerAcc.SampleVar(), nil
 	})

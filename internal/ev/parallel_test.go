@@ -14,7 +14,8 @@ import (
 
 // TestGroupEngineBitIdenticalAcrossWorkerCounts pins the determinism
 // contract of the parallel subsystem at the engine level: EV, the
-// initial state, and the singleton benefits must be bit-for-bit equal
+// initial state, the singleton benefits and the parallel re-scores
+// (DeltasCtx) must be bit-for-bit equal
 // for every CLEANSEL_WORKERS setting, with workers=1 reproducing the
 // sequential arithmetic exactly.
 func TestGroupEngineBitIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -22,6 +23,7 @@ func TestGroupEngineBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		total    float64
 		benefits []float64
 		evs      []float64
+		deltas   []float64 // DeltasCtx after cleaning object 0
 	}
 	run := func(workers string) []snapshot {
 		t.Setenv(parallel.EnvWorkers, workers)
@@ -40,6 +42,15 @@ func TestGroupEngineBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				snap.evs = append(snap.evs, ge.EV(model.NewSet(o)))
 			}
 			snap.evs = append(snap.evs, ge.EV(model.NewSet(0, n-1)))
+			st.Clean(0)
+			all := make([]int, n)
+			for o := range all {
+				all[o] = o
+			}
+			var err error
+			if snap.deltas, err = st.DeltasCtx(context.Background(), all); err != nil {
+				t.Fatal(err)
+			}
 			out = append(out, snap)
 		}
 		return out
@@ -61,6 +72,12 @@ func TestGroupEngineBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				if got[i].evs[j] != want[i].evs[j] {
 					t.Fatalf("workers=%s trial %d: ev[%d] %v != %v",
 						workers, i, j, got[i].evs[j], want[i].evs[j])
+				}
+			}
+			for j := range want[i].deltas {
+				if got[i].deltas[j] != want[i].deltas[j] {
+					t.Fatalf("workers=%s trial %d: delta[%d] %v != %v",
+						workers, i, j, got[i].deltas[j], want[i].deltas[j])
 				}
 			}
 		}

@@ -24,12 +24,12 @@ func TestScratchPoolSpillWorker(t *testing.T) {
 		if sc == nil {
 			t.Fatalf("worker %d: nil scratch", worker)
 		}
-		if len(sc.x) != 5 || len(sc.idx) != 5 || len(sc.m1) != 5 || len(sc.m2) != 5 || len(sc.acc) != 5 {
+		if m1, m2, acc := sc.objectRows(); len(m1) != 5 || len(m2) != 5 || len(acc) != 5 {
 			t.Fatalf("worker %d: workspace not sized to n=5", worker)
 		}
 	}
 	// Negative indexes are equally out of contract and must not panic.
-	if sc := p.get(-1); sc == nil || len(sc.x) != 5 {
+	if sc := p.get(-1); sc == nil || sc.n != 5 {
 		t.Fatal("negative worker index: want a fresh workspace")
 	}
 	// In-range slots still pool: the same worker sees the same scratch.

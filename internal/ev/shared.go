@@ -71,6 +71,14 @@ func sharedKey(sig string, mask uint64) string {
 	return sig + "\x1f" + strconv.FormatUint(mask, 16)
 }
 
+// table returns the pair map (pair) or the term map.
+func (c *SharedEVCache) table(pair bool) map[string]float64 {
+	if pair {
+		return c.pairs
+	}
+	return c.terms
+}
+
 // splitShared partitions cache misses into values served from the
 // shared cache (written into vals) and the remainder to compute. sig
 // returns the signature for miss index i ("" = unshareable).

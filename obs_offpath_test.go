@@ -82,6 +82,24 @@ func TestRecorderCountersNameTheEngines(t *testing.T) {
 			t.Errorf("minvar solve did not tick %q (got %v)", want, got)
 		}
 	}
+	// The greedy's re-scores count under their own names, apart from
+	// ev_cache_*, which keeps counting the from-scratch EV calls only.
+	// On this instance the cleans reuse their objects' last re-scores,
+	// so both counters are positive.
+	for _, want := range []string{"greedy_refreshes", "greedy_memo_hits"} {
+		if got[want] == 0 {
+			t.Errorf("minvar solve counted no %q (got %v)", want, got)
+		}
+	}
+	stages := map[string]bool{}
+	for _, s := range rec.Snapshot().Stages {
+		stages[s.Name] = true
+	}
+	for _, want := range []string{"ev_state_init", "singleton_benefits", "select_loop"} {
+		if !stages[want] {
+			t.Errorf("minvar solve recorded no %q span (got %v)", want, stages)
+		}
+	}
 
 	rec = obs.NewRecorder(nil)
 	ctx = obs.WithRecorder(context.Background(), rec)

@@ -27,10 +27,14 @@
 # is set) so the recorded curve reflects real parallel hardware.
 #
 # The script exits non-zero when the speedup measured at
-# workers=GOMAXPROCS falls below MIN_SPEEDUP (default 0.9), so a
+# workers=GOMAXPROCS falls below MIN_SPEEDUP (default 1.15), so a
 # parallelism regression fails the CI bench job instead of shipping as
-# a quietly slower pool. Intermediate curve points are recorded but not
-# gated: they are diagnostics for where scaling flattens. On a
+# a quietly slower pool. Both families clear it on 2 CPUs: the engine
+# pass scales about 1.7x and the full Select, whose MinVar greedy
+# re-scores each clean's affected objects in parallel, about 1.3x. A
+# floor below 1.0 would pass a pool that buys nothing. Intermediate
+# curve points are recorded but not gated: they are diagnostics for
+# where scaling flattens. On a
 # single-core runner (GOMAXPROCS=1) the many-worker run is
 # oversubscribed by design and the gate is skipped.
 #
@@ -60,7 +64,7 @@ cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
-min_speedup="${MIN_SPEEDUP:-0.9}"
+min_speedup="${MIN_SPEEDUP:-1.15}"
 min_dense_speedup="${MIN_DENSE_SPEEDUP:-5}"
 out="${BENCH_OUT:-BENCH_parallel.json}"
 raw=$(mktemp)
